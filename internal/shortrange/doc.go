@@ -16,9 +16,10 @@
 // ordered (start,end) spans over the SoA working arrays instead of
 // gathering neighbor coordinates (the mesh's z-contiguous CSR layout folds
 // the 27-cell stencil into ≤9 spans, see cellLoopRanges), and the inner
-// loop dispatches to a 4-lane SSE2 assembly kernel on amd64 (build tag
-// hacc_noasm opts out) or a bounds-check-free 4-wide tiled Go loop
-// elsewhere. The copy path (Apply) remains as the scalar oracle; see
+// loop dispatches on amd64 to assembly — an AVX2 kernel taking two targets
+// per 256-bit vector when CPUID and XGETBV report AVX2 at run time, else a
+// 4-lane SSE2 kernel, the two bitwise equal (build tag hacc_noasm opts
+// out) — or to a bounds-check-free 4-wide tiled Go loop elsewhere. The copy path (Apply) remains as the scalar oracle; see
 // DESIGN.md "Short-range kernel" for the equivalence model and measured
 // ns/interaction.
 package shortrange

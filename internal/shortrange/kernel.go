@@ -11,8 +11,8 @@ type Kernel struct {
 	gm   float32
 	c    [6]float32 // poly5 coefficients, ascending powers of s
 
-	// Broadcast-constant table for the assembly range kernel: kc points at
-	// the 16-byte-aligned start of kcBuf (nil without the asm build). See
+	// Broadcast-constant table for the assembly range kernels: kc points at
+	// the 32-byte-aligned start of kcBuf (nil without the asm build). See
 	// buildKernelConsts in kernel_sse_amd64.go for the layout.
 	kc    *float32
 	kcBuf []float32
@@ -151,12 +151,15 @@ func (k *Kernel) Apply(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
 // passes index ranges instead of gathering O(27·cell) coordinates per leaf.
 // Per target the spans are visited in order. The portable tiled kernel
 // accumulates each target sequentially across spans, so splitting or
-// coalescing spans is bitwise invisible to it (TestTiledSplitInvariance);
-// the amd64 SSE kernel reduces four neighbor lanes per span, so its span
-// structure moves results only within the documented ULP model. Either
+// coalescing spans is bitwise invisible to it (TestTiledSplitInvariance).
+// The amd64 assembly kernels reduce four neighbor lanes per span, so
+// there the span structure moves results only within the documented ULP
+// model; the AVX2 kernel (two targets per vector, chosen at run time) and
+// the SSE2 kernel agree bitwise (TestApplyRangesAVX2MatchesSSE2). Either
 // way, equivalence to the scalar oracle is ULP-bounded, pinned by
 // TestApplyRangesULPBound; per-pair terms are bit-identical to FSR on
-// every path (TestFsrSpanSSEBitExact, randomized-fsr-sweep).
+// every path (TestFsrSpanSSEBitExact, TestFsrSpan2AVX2BitExact,
+// randomized-fsr-sweep).
 func (k *Kernel) ApplyRanges(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64 {
 	return applyRangesDispatch(k, lx, ly, lz, px, py, pz, ranges, ax, ay, az)
 }

@@ -46,7 +46,11 @@ func benchKernelSetup(nt, cell int) (k *Kernel, lx, ly, lz, px, py, pz []float32
 //	tiled-go:     the portable tiled range kernel (what non-amd64 and
 //	              `hacc_noasm` builds run).
 //	tiled-ranges: the production dispatch — ApplyRanges over coalesced
-//	              spans, copy-free (SSE2 4-lane kernel on amd64).
+//	              spans, copy-free (on amd64 the AVX2 pairwise kernel when
+//	              the host has it, else SSE2).
+//	sse2, avx2:   ApplyRanges forced onto one amd64 assembly kernel; each
+//	              is skipped where it cannot run (avx2 without AVX2, both
+//	              under hacc_noasm or off amd64).
 func BenchmarkKernelInteraction(b *testing.B) {
 	const nt, cell = 64, 64
 	k, lx, ly, lz, px, py, pz, ranges := benchKernelSetup(nt, cell)
@@ -95,4 +99,14 @@ func BenchmarkKernelInteraction(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perIter), "ns/interaction")
 	})
+	for _, path := range []string{"sse2", "avx2"} {
+		b.Run(path, func(b *testing.B) {
+			forceKernelPath(b, path)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.ApplyRanges(lx, ly, lz, px, py, pz, ranges, ax, ay, az)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perIter), "ns/interaction")
+		})
+	}
 }

@@ -6,10 +6,11 @@
 //
 // Short-range force of one contiguous neighbor span on one target, 4
 // neighbors per 128-bit SSE2 vector. n must be a multiple of 4 (Go caller
-// handles the tail); kc is the 16-byte-aligned broadcast-constant table
-// built by buildKernelConsts (offsets: 0 magic, 16 half, 32 threeHalf,
-// 48 eps, 64 rc2, 80+16i ci), used as aligned memory operands so every
-// XMM register is free for live state.
+// handles the tail); kc is the 32-byte-aligned broadcast-constant table
+// built by buildKernelConsts, shared with the AVX2 kernel: 8-lane groups at
+// stride 32 (offsets: 0 magic, 32 half, 64 threeHalf, 96 eps, 128 rc2,
+// 160+32i ci), of which this kernel reads the low 16 bytes as aligned
+// memory operands so every XMM register is free for live state.
 //
 // Per lane the arithmetic reproduces the Go scalar helpers operation for
 // operation (same association, no FMA contraction):
@@ -42,7 +43,7 @@ TEXT ·fsrSpanSSE(SB), NOSPLIT, $0-68
 	XORPS  X5, X5
 	XORPS  X6, X6
 	XORPS  X7, X7
-	MOVAPS 64(R8), X15       // rc2 (loop-invariant)
+	MOVAPS 128(R8), X15      // rc2 (loop-invariant)
 	TESTQ  CX, CX
 	JZ     reduce
 
@@ -64,28 +65,28 @@ loop:
 
 	// rsqrt(s+eps): bit-level estimate + 3 Newton iterations
 	MOVAPS X3, X11
-	ADDPS  48(R8), X11       // x = s + eps
+	ADDPS  96(R8), X11       // x = s + eps
 	MOVAPS X11, X4
 	PSRLL  $1, X4            // bits(x) >> 1
 	MOVAPS 0(R8), X12
 	PSUBL  X4, X12           // y0 = magic - bits(x)>>1 (as float lanes)
-	MULPS  16(R8), X11       // halfx = 0.5*x
+	MULPS  32(R8), X11       // halfx = 0.5*x
 	MOVAPS X11, X13          // iteration 1
 	MULPS  X12, X13          // (0.5x)*y
 	MULPS  X12, X13          // ((0.5x)*y)*y
-	MOVAPS 32(R8), X14
+	MOVAPS 64(R8), X14
 	SUBPS  X13, X14          // 1.5 - ...
 	MULPS  X14, X12          // y *=
 	MOVAPS X11, X13          // iteration 2
 	MULPS  X12, X13
 	MULPS  X12, X13
-	MOVAPS 32(R8), X14
+	MOVAPS 64(R8), X14
 	SUBPS  X13, X14
 	MULPS  X14, X12
 	MOVAPS X11, X13          // iteration 3
 	MULPS  X12, X13
 	MULPS  X12, X13
-	MOVAPS 32(R8), X14
+	MOVAPS 64(R8), X14
 	SUBPS  X13, X14
 	MULPS  X14, X12
 
@@ -93,17 +94,17 @@ loop:
 	MOVAPS X12, X13
 	MULPS  X12, X13          // y*y
 	MULPS  X12, X13          // (y*y)*y
-	MOVAPS 160(R8), X14      // c5
+	MOVAPS 320(R8), X14      // c5
 	MULPS  X3, X14
-	ADDPS  144(R8), X14      // c4 + s*c5
+	ADDPS  288(R8), X14      // c4 + s*c5
 	MULPS  X3, X14
-	ADDPS  128(R8), X14      // c3 + ...
+	ADDPS  256(R8), X14      // c3 + ...
 	MULPS  X3, X14
-	ADDPS  112(R8), X14      // c2 + ...
+	ADDPS  224(R8), X14      // c2 + ...
 	MULPS  X3, X14
-	ADDPS  96(R8), X14       // c1 + ...
+	ADDPS  192(R8), X14      // c1 + ...
 	MULPS  X3, X14
-	ADDPS  80(R8), X14       // c0 + ... = poly5(s)
+	ADDPS  160(R8), X14      // c0 + ... = poly5(s)
 	SUBPS  X14, X13          // f
 
 	// cutoff: f &= (s < rc2)
