@@ -421,7 +421,7 @@ func drive(s *core.Simulation, ranks, pkBins int, snapPath string, start time.Ti
 			log.Printf("trace timelines and journals under %s", dir)
 		}
 		for _, p := range s.Timers.Fractions() {
-			fmt.Printf("  %-10s %5.1f%%\n", p.Name, 100*p.Fraction)
+			fmt.Printf("  %-11s %5.1f%%\n", p.Name, 100*p.Fraction)
 		}
 	}
 	if snapPath != "" {

@@ -114,9 +114,11 @@ type KernelResult struct {
 	InteractionsSec float64
 }
 
-// RunKernel measures the short-range kernel's pair throughput on synthetic
-// leaves of `leafSize` targets against a neighbor list of `listSize`,
-// processed by `threads` goroutines (the paper's ranks×threads sweep).
+// RunKernel measures the production short-range kernel's pair throughput
+// (Kernel.ApplyRanges, the entry point every force walk calls) on synthetic
+// leaves of `leafSize` targets against a pre-gathered neighbor list of
+// `listSize`, passed as the single span [0, listSize), processed by
+// `threads` goroutines (the paper's ranks×threads sweep).
 func RunKernel(listSize, leafSize, threads int, dur time.Duration) KernelResult {
 	res, err := shortrange.FitGridForce(shortrange.FitOptions{Seed: 1})
 	if err != nil {
@@ -133,6 +135,7 @@ func RunKernel(listSize, leafSize, threads int, dur time.Duration) KernelResult 
 	}
 	type work struct {
 		lx, ly, lz, nx, ny, nz, ax, ay, az []float32
+		ranges                             [][2]int32
 	}
 	ws := make([]work, threads)
 	for t := range ws {
@@ -140,6 +143,7 @@ func RunKernel(listSize, leafSize, threads int, dur time.Duration) KernelResult 
 			lx: mk(leafSize), ly: mk(leafSize), lz: mk(leafSize),
 			nx: mk(listSize), ny: mk(listSize), nz: mk(listSize),
 			ax: make([]float32, leafSize), ay: make([]float32, leafSize), az: make([]float32, leafSize),
+			ranges: [][2]int32{{0, int32(listSize)}},
 		}
 	}
 	done := make(chan int64, threads)
@@ -148,7 +152,7 @@ func RunKernel(listSize, leafSize, threads int, dur time.Duration) KernelResult 
 		go func(w *work) {
 			var n int64
 			for time.Since(start) < dur {
-				n += k.Apply(w.lx, w.ly, w.lz, w.nx, w.ny, w.nz, w.ax, w.ay, w.az)
+				n += k.ApplyRanges(w.lx, w.ly, w.lz, w.nx, w.ny, w.nz, w.ranges, w.ax, w.ay, w.az)
 			}
 			done <- n
 		}(&ws[t])

@@ -130,11 +130,12 @@ type Config struct {
 	RebalanceThreshold float64
 	RebalanceMinSteps  int
 
-	// StealWalks dispatches tree force walks through the pool's
-	// deque-stealing scheduler (par.ForSteal) instead of the static
-	// per-tree split, so a clustered leaf population self-balances across
-	// workers. Bitwise-neutral (accumulation is per-target; pinned by the
-	// steal equivalence tests), hence excluded from the fingerprint like
+	// StealWalks dispatches the single-tree force walk through the pool's
+	// deque-stealing scheduler (par.ForSteal) instead of the shared leaf
+	// cursor, so a clustered leaf population self-balances across workers.
+	// A forest (NTrees > 1) always steals, so there it changes nothing.
+	// Bitwise-neutral (accumulation is per-target; pinned by the steal
+	// equivalence tests), hence excluded from the fingerprint like
 	// Threads.
 	StealWalks bool
 

@@ -338,7 +338,7 @@ func TestTimersAndCounters(t *testing.T) {
 		if s.Counters.FFT3D != 4 {
 			t.Errorf("FFT3D=%d want 4", s.Counters.FFT3D)
 		}
-		if s.Timers.Get("kernel") == 0 || s.Timers.Get("fft") == 0 {
+		if s.Timers.Get("walk+kernel") == 0 || s.Timers.Get("fft") == 0 {
 			t.Error("phase timers empty")
 		}
 		if s.MemoryMB() <= 0 {
@@ -351,6 +351,41 @@ func TestTimersAndCounters(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShortRangePhasesMeasured pins the short-range phase report to what
+// is measured: every backend reports its build and its interleaved
+// walk+kernel as one timed phase each, and no modelled walk/kernel split.
+func TestShortRangePhasesMeasured(t *testing.T) {
+	for _, tc := range []struct {
+		solver SolverKind
+		ntrees int
+	}{{PPTreePM, 1}, {PPTreePM, 4}, {P3M, 1}} {
+		cfg := baseConfig()
+		cfg.NGrid, cfg.NParticles, cfg.Steps, cfg.Threads = 16, 16, 1, 2
+		cfg.Solver, cfg.NTrees = tc.solver, tc.ntrees
+		err := mpi.Run(1, func(c *mpi.Comm) {
+			s, err := New(c, cfg)
+			if err == nil {
+				err = s.Step()
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			phases := map[string]bool{}
+			for _, p := range s.Timers.Fractions() {
+				phases[p.Name] = true
+			}
+			if !phases["build"] || !phases["walk+kernel"] || phases["walk"] || phases["kernel"] {
+				t.Errorf("solver %v, %d trees: phases %v, want build and walk+kernel, no walk or kernel",
+					tc.solver, tc.ntrees, phases)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

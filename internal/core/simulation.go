@@ -121,9 +121,16 @@ type InSituResult struct {
 type shortScratch struct {
 	x, y, z    []float32
 	ax, ay, az []float32
-	tr         *tree.Tree
-	fr         *tree.Forest
-	cm         *shortrange.ChainingMesh
+	sr         shortSolver
+}
+
+// shortSolver is what kickShort needs of every short-range backend
+// (*tree.Tree, *tree.Forest, *shortrange.ChainingMesh) besides its one
+// force call: rebuild over the gathered coordinates, and scatter the
+// accelerations back to gathered order.
+type shortSolver interface {
+	Rebuild(x, y, z []float32)
+	AccelInto(ax, ay, az []float32)
 }
 
 // New builds the simulation and generates initial conditions. Collective.
@@ -633,85 +640,14 @@ func (s *Simulation) kickShort(w float64) {
 		}
 	})
 
-	switch s.Cfg.Solver {
-	case PPTreePM:
-		if s.Cfg.NTrees > 1 {
-			if sc.fr == nil {
-				sc.fr = tree.NewForest(s.Cfg.LeafSize, s.Cfg.NTrees, s.Cfg.RCut)
-			}
-			t0 := time.Now()
-			sp := obs.Begin()
-			sc.fr.Rebuild(x, y, z)
-			s.Timers.Add("build", time.Since(t0))
-			obs.End(s.Comm.Rank(), obs.SpanBuild, sp)
-			t0 = time.Now()
-			sp = obs.Begin()
-			if s.Cfg.StealWalks {
-				s.Counters.StolenLeaves += sc.fr.ComputeForcesStealRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
-			} else {
-				// Forest threading splits goroutines across sub-trees itself;
-				// it does not use the flat worker pool.
-				sc.fr.ComputeForcesRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.Cfg.Threads)
-			}
-			obs.End(s.Comm.Rank(), obs.SpanWalk, sp)
-			walkAndKernel := time.Since(t0)
-			inter := sc.fr.Interactions()
-			s.Counters.KernelInteractions += inter
-			s.Counters.WalkNodes += sc.fr.NodesVisited()
-			kshare := kernelShare(walkAndKernel, inter, sc.fr.NeighborCount())
-			s.Timers.Add("kernel", kshare)
-			s.Timers.Add("walk", walkAndKernel-kshare)
-			sc.fr.AccelInto(ax, ay, az)
-			break
-		}
-		if sc.tr == nil {
-			sc.tr = tree.New(s.Cfg.LeafSize)
-		}
-		tr := sc.tr
-		t0 := time.Now()
-		sp := obs.Begin()
-		tr.Rebuild(x, y, z)
-		s.Timers.Add("build", time.Since(t0))
-		obs.End(s.Comm.Rank(), obs.SpanBuild, sp)
-		t0 = time.Now()
-		sp = obs.Begin()
-		if s.Cfg.StealWalks {
-			s.Counters.StolenLeaves += tr.ComputeForcesStealRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
-		} else {
-			tr.ComputeForcesPoolRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
-		}
-		obs.End(s.Comm.Rank(), obs.SpanWalk, sp)
-		walkAndKernel := time.Since(t0)
-		inter := tr.Interactions.Load()
-		s.Counters.KernelInteractions += inter
-		s.Counters.WalkNodes += tr.NodesVisited.Load()
-		// Split the measured time by the modeled kernel rate: the kernel
-		// share is interactions at the sustained per-pair cost; remainder
-		// is the walk. (Direct per-leaf timing would serialize the
-		// goroutines' clocks; the paper reports the same split from
-		// hardware counters.)
-		kshare := kernelShare(walkAndKernel, inter, tr.NeighborCount.Load())
-		s.Timers.Add("kernel", kshare)
-		s.Timers.Add("walk", walkAndKernel-kshare)
-		tr.AccelInto(ax, ay, az)
-	case P3M:
-		if sc.cm == nil {
-			sc.cm = shortrange.NewMesh(s.Cfg.RCut)
-		}
-		cm := sc.cm
-		t0 := time.Now()
-		sp := obs.Begin()
-		cm.Rebuild(x, y, z)
-		s.Timers.Add("build", time.Since(t0))
-		obs.End(s.Comm.Rank(), obs.SpanBuild, sp)
-		t0 = time.Now()
-		sp = obs.Begin()
-		cm.ComputeForcesPoolRanges(s.Kernel.ApplyRanges, s.pool)
-		s.Timers.Add("kernel", time.Since(t0))
-		obs.End(s.Comm.Rank(), obs.SpanWalk, sp)
-		s.Counters.KernelInteractions += cm.Interactions.Load()
-		cm.AccelInto(ax, ay, az)
-	}
+	sr := s.shortSolver()
+	s.phase("build", obs.SpanBuild, func() { sr.Rebuild(x, y, z) })
+	var inter, nodes, stolen int64
+	s.phase("walk+kernel", obs.SpanWalk, func() { inter, nodes, stolen = s.shortForces(sr) })
+	s.Counters.KernelInteractions += inter
+	s.Counters.WalkNodes += nodes
+	s.Counters.StolenLeaves += stolen
+	sr.AccelInto(ax, ay, az)
 
 	// Threaded momentum update over both particle sets: shards of the
 	// combined (active-first) index range map directly onto the scratch
@@ -734,6 +670,47 @@ func (s *Simulation) kickShort(w float64) {
 	})
 }
 
+// shortSolver returns the persistent short-range backend the config
+// selects, creating it on first use.
+func (s *Simulation) shortSolver() shortSolver {
+	sc := &s.scratch
+	if sc.sr == nil {
+		switch {
+		case s.Cfg.Solver == P3M:
+			sc.sr = shortrange.NewMesh(s.Cfg.RCut)
+		case s.Cfg.NTrees > 1:
+			sc.sr = tree.NewForest(s.Cfg.LeafSize, s.Cfg.NTrees, s.Cfg.RCut, s.pool)
+		default:
+			sc.sr = tree.New(s.Cfg.LeafSize)
+		}
+	}
+	return sc.sr
+}
+
+// shortForces runs the backend's one force path on the worker pool and
+// returns its pair interactions, walk node visits and stolen leaves. The
+// walk and the kernel interleave leaf by leaf, so they are timed as one
+// phase; perfbench --trace 1 measures the split between them.
+func (s *Simulation) shortForces(sr shortSolver) (inter, nodes, stolen int64) {
+	kern, rcut := s.Kernel.ApplyRanges, s.Cfg.RCut
+	switch b := sr.(type) {
+	case *tree.Forest:
+		stolen = b.ComputeForcesStealRanges(kern, rcut)
+		return b.Interactions(), b.NodesVisited(), stolen
+	case *tree.Tree:
+		if s.Cfg.StealWalks {
+			stolen = b.ComputeForcesStealRanges(kern, rcut, s.pool)
+		} else {
+			b.ComputeForcesPoolRanges(kern, rcut, s.pool)
+		}
+		return b.Interactions.Load(), b.NodesVisited.Load(), stolen
+	case *shortrange.ChainingMesh:
+		b.ComputeForcesPoolRanges(kern, s.pool)
+		return b.Interactions.Load(), 0, 0
+	}
+	panic("core: unknown short-range backend")
+}
+
 // splitAtActive clamps a shard [lo,hi) of the combined active-first index
 // range against the active prefix [0,na): active indices are [lo,aEnd),
 // passive combined indices are [pBegin,hi) (subtract na for the passive-
@@ -748,18 +725,6 @@ func splitAtActive(na, lo, hi int) (aEnd, pBegin int) {
 		pBegin = na
 	}
 	return
-}
-
-// kernelShare estimates the kernel's share of the combined walk+kernel
-// time from the interaction-to-gather ratio.
-func kernelShare(total time.Duration, interactions, gathered int64) time.Duration {
-	if interactions <= 0 {
-		return 0
-	}
-	// Gather cost per neighbor copied is ~1/8 of a pair interaction.
-	k := float64(interactions)
-	g := float64(gathered) / 8
-	return time.Duration(float64(total) * k / (k + g))
 }
 
 // stream advances positions x += w·p for actives and passives, sharded

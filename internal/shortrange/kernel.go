@@ -2,8 +2,8 @@ package shortrange
 
 import "math"
 
-// Kernel evaluates the short-range pair force on contiguous neighbor lists.
-// It is shared by the RCB-tree and P3M backends.
+// Kernel evaluates the short-range pair force on neighbor spans. It is
+// shared by the RCB-tree and P3M backends.
 type Kernel struct {
 	RCut float64 // matching radius in grid cells (paper: 3 cells + margin)
 	rc2  float32
@@ -58,8 +58,9 @@ func rsqrt(x float32) float32 {
 }
 
 // The short-range force factor f_SR(s) = (s+ε)^(−3/2) − poly5(s), zero at
-// and beyond r_cut², is evaluated everywhere — FSR, Apply, the tiled range
-// kernel — as the same three single-sourced inlined helpers:
+// and beyond r_cut², is evaluated everywhere — FSR, the tiled range kernel,
+// the copy-list test oracle — as the same three single-sourced inlined
+// helpers:
 //
 //	f := (rsqrt3(s+eps) - poly5(s, c0..c5)) * cutMask(s, rc2)
 //
@@ -97,56 +98,8 @@ func (k *Kernel) FSR(s float32) float32 {
 	return (rsqrt3(s+k.eps) - poly5(s, k.c[0], k.c[1], k.c[2], k.c[3], k.c[4], k.c[5])) * cutMask(s, k.rc2)
 }
 
-// Apply computes the short-range force of every neighbor on every target,
-// accumulating accelerations; it returns the number of pair interactions.
-// The inner loop is 2-way unrolled with the cutoff folded in as a select
-// rather than a branch on the data path, mirroring the fsel-based
-// vectorization of the BG/Q kernel (§III). Apply is the copy-list scalar
-// oracle; production walks use ApplyRanges.
-func (k *Kernel) Apply(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
-	rc2, eps, gm := k.rc2, k.eps, k.gm
-	c0, c1, c2, c3, c4, c5 := k.c[0], k.c[1], k.c[2], k.c[3], k.c[4], k.c[5]
-	n := len(nx)
-	ny = ny[:n]
-	nz = nz[:n]
-	for i := range lx {
-		xi, yi, zi := lx[i], ly[i], lz[i]
-		var sx, sy, sz float32
-		j := 0
-		for ; j+1 < n; j += 2 {
-			dx0 := nx[j] - xi
-			dy0 := ny[j] - yi
-			dz0 := nz[j] - zi
-			dx1 := nx[j+1] - xi
-			dy1 := ny[j+1] - yi
-			dz1 := nz[j+1] - zi
-			s0 := dx0*dx0 + dy0*dy0 + dz0*dz0
-			s1 := dx1*dx1 + dy1*dy1 + dz1*dz1
-			f0 := (rsqrt3(s0+eps) - poly5(s0, c0, c1, c2, c3, c4, c5)) * cutMask(s0, rc2)
-			f1 := (rsqrt3(s1+eps) - poly5(s1, c0, c1, c2, c3, c4, c5)) * cutMask(s1, rc2)
-			sx += dx0*f0 + dx1*f1
-			sy += dy0*f0 + dy1*f1
-			sz += dz0*f0 + dz1*f1
-		}
-		if j < n {
-			dx := nx[j] - xi
-			dy := ny[j] - yi
-			dz := nz[j] - zi
-			s := dx*dx + dy*dy + dz*dz
-			f := (rsqrt3(s+eps) - poly5(s, c0, c1, c2, c3, c4, c5)) * cutMask(s, rc2)
-			sx += dx * f
-			sy += dy * f
-			sz += dz * f
-		}
-		ax[i] += gm * sx
-		ay[i] += gm * sy
-		az[i] += gm * sz
-	}
-	return int64(len(lx)) * int64(n)
-}
-
-// ApplyRanges is the copy-free production kernel entry point: neighbors are
-// (start,end) spans over the caller's SoA working arrays (the tree's
+// ApplyRanges is the kernel entry point every force path calls: neighbors
+// are (start,end) spans over the caller's SoA working arrays (the tree's
 // leaf-contiguous coordinates, the mesh's cell-sorted copy), so the walk
 // passes index ranges instead of gathering O(27·cell) coordinates per leaf.
 // Per target the spans are visited in order. The portable tiled kernel
@@ -156,10 +109,10 @@ func (k *Kernel) Apply(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
 // there the span structure moves results only within the documented ULP
 // model; the AVX2 kernel (two targets per vector, chosen at run time) and
 // the SSE2 kernel agree bitwise (TestApplyRangesAVX2MatchesSSE2). Either
-// way, equivalence to the scalar oracle is ULP-bounded, pinned by
-// TestApplyRangesULPBound; per-pair terms are bit-identical to FSR on
-// every path (TestFsrSpanSSEBitExact, TestFsrSpan2AVX2BitExact,
-// randomized-fsr-sweep).
+// way, equivalence to the scalar copy-list oracle (applyCopy, in the test
+// files) is ULP-bounded, pinned by TestApplyRangesULPBound; per-pair terms
+// are bit-identical to FSR on every path (TestFsrSpanSSEBitExact,
+// TestFsrSpan2AVX2BitExact, randomized-fsr-sweep).
 func (k *Kernel) ApplyRanges(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64 {
 	return applyRangesDispatch(k, lx, ly, lz, px, py, pz, ranges, ax, ay, az)
 }

@@ -40,7 +40,7 @@ func benchKernelSetup(nt, cell int) (k *Kernel, lx, ly, lz, px, py, pz []float32
 //
 //	scalar-copy:  the pre-PR 7 leaf evaluation — gather all 27 cells into
 //	              contiguous scratch with append copies, then the 2-way
-//	              unrolled scalar kernel (the equivalence oracle).
+//	              unrolled scalar kernel (the applyCopy oracle).
 //	scalar:       the scalar kernel alone on a pre-gathered list (isolates
 //	              the gather cost from the kernel cost).
 //	tiled-go:     the portable tiled range kernel (what non-amd64 and
@@ -70,7 +70,7 @@ func BenchmarkKernelInteraction(b *testing.B) {
 				ny = append(ny, py[r[0]:r[1]]...)
 				nz = append(nz, pz[r[0]:r[1]]...)
 			}
-			k.Apply(lx, ly, lz, nx, ny, nz, ax, ay, az)
+			k.applyCopy(lx, ly, lz, nx, ny, nz, ax, ay, az)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perIter), "ns/interaction")
 	})
@@ -81,7 +81,7 @@ func BenchmarkKernelInteraction(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k.Apply(lx, ly, lz, nx, ny, nz, ax, ay, az)
+			k.applyCopy(lx, ly, lz, nx, ny, nz, ax, ay, az)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perIter), "ns/interaction")
 	})

@@ -2,7 +2,6 @@ package shortrange
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"hacc/internal/par"
@@ -11,7 +10,7 @@ import (
 // ChainingMesh is the direct particle-particle short-range backend (the
 // P3M local solver HACC runs on accelerated systems like Roadrunner, §II).
 // Particles are binned into cells of side ≥ r_cut; each cell's particles
-// share one interaction list gathered from the 27 surrounding cells — the
+// share one interaction list drawn from the 27 surrounding cells — the
 // "no mediating tree" configuration with large Nd.
 type ChainingMesh struct {
 	X, Y, Z    []float32 // cell-sorted working copy
@@ -26,9 +25,9 @@ type ChainingMesh struct {
 	// Binning scratch, reused across rebuilds (zero-allocation sub-cycling).
 	cellOf []int32
 	cursor []int32
-	// Per-worker gather scratch and the shared cell cursor, persistent
-	// across force evaluations.
-	walk []gatherScratch
+	// Per-worker span lists and the shared cell cursor, persistent across
+	// force evaluations.
+	walk [][][2]int32
 	next atomic.Int64
 
 	// Interactions counts pair evaluations (bench harness). Reset by
@@ -42,14 +41,6 @@ func NewMesh(cellSize float64) *ChainingMesh {
 	return &ChainingMesh{cellSize: cellSize, inv: float32(1 / cellSize)}
 }
 
-// BuildMesh bins the particles into a chaining mesh with the given cell
-// size.
-func BuildMesh(x, y, z []float32, cellSize float64) *ChainingMesh {
-	m := NewMesh(cellSize)
-	m.Rebuild(x, y, z)
-	return m
-}
-
 // Rebuild re-bins new particle coordinates in place, reusing the sorted
 // working copy, the CSR offsets, and the binning scratch. Statistics
 // counters restart from zero.
@@ -58,7 +49,7 @@ func (m *ChainingMesh) Rebuild(x, y, z []float32) {
 	cellSize := m.cellSize
 	m.Interactions.Store(0)
 	if n == 0 {
-		// One empty cell; starts needs ncell+1 entries so ComputeForces
+		// One empty cell; starts needs ncell+1 entries so the force walk
 		// can scan it without a special case.
 		m.starts = append(m.starts[:0], 0, 0)
 		m.dims = [3]int{1, 1, 1}
@@ -137,19 +128,6 @@ func clampCell(c, n int) int {
 	return c
 }
 
-// gatherScratch is one worker's 27-cell neighbor-list buffers and range
-// list, persistent across force evaluations.
-type gatherScratch struct {
-	nbrX, nbrY, nbrZ []float32
-	ranges           [][2]int32
-}
-
-func (m *ChainingMesh) ensureWalk(k int) {
-	for len(m.walk) < k {
-		m.walk = append(m.walk, gatherScratch{})
-	}
-}
-
 func (m *ChainingMesh) prepForces() {
 	for i := range m.AX {
 		m.AX[i], m.AY[i], m.AZ[i] = 0, 0, 0
@@ -157,68 +135,16 @@ func (m *ChainingMesh) prepForces() {
 	m.next.Store(0)
 }
 
-// cellLoop pulls cells from the shared cursor until none remain, using
-// worker w's persistent scratch.
-func (m *ChainingMesh) cellLoop(w int, kern func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64) {
-	ws := &m.walk[w]
-	nbrX, nbrY, nbrZ := ws.nbrX, ws.nbrY, ws.nbrZ
-	ncell := m.dims[0] * m.dims[1] * m.dims[2]
-	var inter int64
-	for {
-		c := int(m.next.Add(1) - 1)
-		if c >= ncell {
-			break
-		}
-		s, e := m.starts[c], m.starts[c+1]
-		if s == e {
-			continue
-		}
-		cz := c % m.dims[2]
-		cy := (c / m.dims[2]) % m.dims[1]
-		cx := c / (m.dims[1] * m.dims[2])
-		nbrX = nbrX[:0]
-		nbrY = nbrY[:0]
-		nbrZ = nbrZ[:0]
-		for dx := -1; dx <= 1; dx++ {
-			x := cx + dx
-			if x < 0 || x >= m.dims[0] {
-				continue
-			}
-			for dy := -1; dy <= 1; dy++ {
-				y := cy + dy
-				if y < 0 || y >= m.dims[1] {
-					continue
-				}
-				for dz := -1; dz <= 1; dz++ {
-					z := cz + dz
-					if z < 0 || z >= m.dims[2] {
-						continue
-					}
-					nc := (x*m.dims[1]+y)*m.dims[2] + z
-					ns, ne := m.starts[nc], m.starts[nc+1]
-					nbrX = append(nbrX, m.X[ns:ne]...)
-					nbrY = append(nbrY, m.Y[ns:ne]...)
-					nbrZ = append(nbrZ, m.Z[ns:ne]...)
-				}
-			}
-		}
-		inter += kern(m.X[s:e], m.Y[s:e], m.Z[s:e],
-			nbrX, nbrY, nbrZ,
-			m.AX[s:e], m.AY[s:e], m.AZ[s:e])
-	}
-	ws.nbrX, ws.nbrY, ws.nbrZ = nbrX, nbrY, nbrZ
-	m.Interactions.Add(inter)
-}
-
-// cellLoopRanges is cellLoop without the gather: because the CSR layout
-// orders cells with z fastest, each (dx,dy) column of up to three z-cells
-// is one contiguous span of the sorted arrays, so the 27-cell neighbor
-// stencil collapses to at most 9 (start,end) spans — emitted in the same
-// (dx,dy,dz) order the copy path concatenates cells in, and coalesced
-// further when consecutive columns happen to touch in the CSR layout.
+// cellLoopRanges pulls cells from the shared cursor until none remain,
+// using worker w's persistent span list. Because the CSR layout orders
+// cells with z fastest, each (dx,dy) column of up to three z-cells is one
+// contiguous span of the sorted arrays, so the 27-cell neighbor stencil
+// collapses to at most 9 (start,end) spans — emitted in the same (dx,dy,dz)
+// order a gathering walk concatenates cells in (the copy-walk oracle in
+// p3m_ranges_test.go), and coalesced further when consecutive columns
+// happen to touch in the CSR layout.
 func (m *ChainingMesh) cellLoopRanges(w int, kern RangeKernel) {
-	ws := &m.walk[w]
-	ranges := ws.ranges
+	ranges := m.walk[w]
 	ncell := m.dims[0] * m.dims[1] * m.dims[2]
 	var inter int64
 	for {
@@ -268,70 +194,18 @@ func (m *ChainingMesh) cellLoopRanges(w int, kern RangeKernel) {
 			m.X, m.Y, m.Z, ranges,
 			m.AX[s:e], m.AY[s:e], m.AZ[s:e])
 	}
-	ws.ranges = ranges
+	m.walk[w] = ranges
 	m.Interactions.Add(inter)
 }
 
-// ComputeForces evaluates the short-range force cell by cell with `threads`
-// goroutines; each cell's particles share the 27-cell interaction list.
-func (m *ChainingMesh) ComputeForces(kern func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64, threads int) {
-	m.prepForces()
-	if threads < 1 {
-		threads = 1
-	}
-	m.ensureWalk(threads)
-	if threads == 1 {
-		m.cellLoop(0, kern)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m.cellLoop(w, kern)
-		}(w)
-	}
-	wg.Wait()
-}
-
-// ComputeForcesPool is ComputeForces dispatched on a persistent worker
-// pool: no goroutine spawns, no per-call scratch.
-func (m *ChainingMesh) ComputeForcesPool(kern func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64, pool *par.Pool) {
-	m.prepForces()
-	m.ensureWalk(pool.Workers())
-	pool.Run(0, func(w int) { m.cellLoop(w, kern) })
-}
-
-// ComputeForcesRanges is ComputeForces on the copy-free range walk (see
-// cellLoopRanges). The production force path; the copy path remains as the
-// equivalence oracle.
-func (m *ChainingMesh) ComputeForcesRanges(kern RangeKernel, threads int) {
-	m.prepForces()
-	if threads < 1 {
-		threads = 1
-	}
-	m.ensureWalk(threads)
-	if threads == 1 {
-		m.cellLoopRanges(0, kern)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m.cellLoopRanges(w, kern)
-		}(w)
-	}
-	wg.Wait()
-}
-
-// ComputeForcesPoolRanges is ComputeForcesRanges dispatched on a persistent
-// worker pool: the zero-allocation sub-cycling configuration.
+// ComputeForcesPoolRanges evaluates the short-range force cell by cell on a
+// persistent worker pool, workers pulling cells from a shared atomic
+// cursor; each cell's particles share the ≤9-span 27-cell interaction list.
+// No goroutine spawns, no per-call scratch: the zero-allocation
+// sub-cycling configuration.
 func (m *ChainingMesh) ComputeForcesPoolRanges(kern RangeKernel, pool *par.Pool) {
 	m.prepForces()
-	m.ensureWalk(pool.Workers())
+	m.walk = par.Resize(m.walk, pool.Workers())
 	pool.Run(0, func(w int) { m.cellLoopRanges(w, kern) })
 }
 

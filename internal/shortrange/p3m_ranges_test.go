@@ -4,12 +4,18 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hacc/internal/par"
 )
+
+// copyKernel is the copy-list kernel signature of the mesh oracles: a
+// cell's neighbors arrive gathered into contiguous (nx,ny,nz).
+type copyKernel func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64
 
 // meshCopyAdapter gathers spans into a contiguous list, in span order —
 // the mesh-side bitwise walk oracle (see tree.TestRangeWalkMatchesCopyWalk
 // for the tree side).
-func meshCopyAdapter(kern func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64) RangeKernel {
+func meshCopyAdapter(kern copyKernel) RangeKernel {
 	return func(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64 {
 		var nx, ny, nz []float32
 		for _, r := range ranges {
@@ -18,6 +24,42 @@ func meshCopyAdapter(kern func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int
 			nz = append(nz, pz[r[0]:r[1]]...)
 		}
 		return kern(lx, ly, lz, nx, ny, nz, ax, ay, az)
+	}
+}
+
+// meshCopyWalk is the gathering reference walk, serial: each non-empty
+// cell's particles see the 27 surrounding cells concatenated into one
+// contiguous list in (dx,dy,dz) order. Forces land in AX/AY/AZ (zeroed
+// first) and Interactions counts as in the production walk.
+func meshCopyWalk(m *ChainingMesh, kern copyKernel) {
+	m.prepForces()
+	var nbrX, nbrY, nbrZ []float32
+	ncell := m.dims[0] * m.dims[1] * m.dims[2]
+	for c := 0; c < ncell; c++ {
+		s, e := m.starts[c], m.starts[c+1]
+		if s == e {
+			continue
+		}
+		cz := c % m.dims[2]
+		cy := (c / m.dims[2]) % m.dims[1]
+		cx := c / (m.dims[1] * m.dims[2])
+		nbrX, nbrY, nbrZ = nbrX[:0], nbrY[:0], nbrZ[:0]
+		for x := cx - 1; x <= cx+1; x++ {
+			for y := cy - 1; y <= cy+1; y++ {
+				for z := cz - 1; z <= cz+1; z++ {
+					if x < 0 || x >= m.dims[0] || y < 0 || y >= m.dims[1] || z < 0 || z >= m.dims[2] {
+						continue
+					}
+					nc := (x*m.dims[1]+y)*m.dims[2] + z
+					ns, ne := m.starts[nc], m.starts[nc+1]
+					nbrX = append(nbrX, m.X[ns:ne]...)
+					nbrY = append(nbrY, m.Y[ns:ne]...)
+					nbrZ = append(nbrZ, m.Z[ns:ne]...)
+				}
+			}
+		}
+		m.Interactions.Add(kern(m.X[s:e], m.Y[s:e], m.Z[s:e], nbrX, nbrY, nbrZ,
+			m.AX[s:e], m.AY[s:e], m.AZ[s:e]))
 	}
 }
 
@@ -40,15 +82,16 @@ func TestMeshRangeWalkMatchesCopyWalk(t *testing.T) {
 		y[i] = float32(rng.Float64()) * 18
 		z[i] = float32(rng.Float64()*rng.Float64()) * 18
 	}
-	m := BuildMesh(x, y, z, k.RCut)
-	m.ComputeForces(k.Apply, 3)
+	m := buildMesh(x, y, z, k.RCut)
+	meshCopyWalk(m, k.applyCopy)
 	ax0 := append([]float32(nil), m.AX...)
 	ay0 := append([]float32(nil), m.AY...)
 	az0 := append([]float32(nil), m.AZ...)
 	inter0 := m.Interactions.Load()
 
+	pool := par.NewPool(3)
 	m.Interactions.Store(0)
-	m.ComputeForcesRanges(meshCopyAdapter(k.Apply), 3)
+	m.ComputeForcesPoolRanges(meshCopyAdapter(k.applyCopy), pool)
 	if got := m.Interactions.Load(); got != inter0 {
 		t.Fatalf("range walk evaluated %d interactions, copy walk %d", got, inter0)
 	}
@@ -64,7 +107,7 @@ func TestMeshRangeWalkMatchesCopyWalk(t *testing.T) {
 	// The production configuration (ApplyRanges) agrees within the kernel's
 	// documented-ULP model: compare against the copy result with a bound
 	// scaled by the local interaction count.
-	m.ComputeForcesRanges(k.ApplyRanges, 3)
+	m.ComputeForcesPoolRanges(k.ApplyRanges, pool)
 	for i := range ax0 {
 		for c, pair := range [3][2]float32{{m.AX[i], ax0[i]}, {m.AY[i], ay0[i]}, {m.AZ[i], az0[i]}} {
 			diff := math.Abs(float64(pair[0]) - float64(pair[1]))

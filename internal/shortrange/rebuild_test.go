@@ -44,11 +44,20 @@ func randomMeshParticles(n int, box float32, rng *rand.Rand) (x, y, z []float32)
 	return
 }
 
+// buildMesh bins the particles into a fresh chaining mesh.
+func buildMesh(x, y, z []float32, cellSize float64) *ChainingMesh {
+	m := NewMesh(cellSize)
+	m.Rebuild(x, y, z)
+	return m
+}
+
 // TestMeshRebuildMatchesBuild reuses one ChainingMesh across particle sets
 // of varying size and extent and checks bitwise agreement with a fresh
-// BuildMesh each time.
+// mesh each time.
 func TestMeshRebuildMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	pool := par.NewPool(2)
+	kern := meshCopyAdapter(simpleKernel)
 	persistent := NewMesh(3.0)
 	for _, tc := range []struct {
 		n   int
@@ -56,7 +65,7 @@ func TestMeshRebuildMatchesBuild(t *testing.T) {
 	}{{500, 20}, {1500, 12}, {80, 30}, {0, 10}, {900, 20}} {
 		x, y, z := randomMeshParticles(tc.n, tc.box, rng)
 		persistent.Rebuild(x, y, z)
-		fresh := BuildMesh(x, y, z, 3.0)
+		fresh := buildMesh(x, y, z, 3.0)
 		if persistent.dims != fresh.dims {
 			t.Fatalf("n=%d: dims differ: %v vs %v", tc.n, persistent.dims, fresh.dims)
 		}
@@ -70,8 +79,8 @@ func TestMeshRebuildMatchesBuild(t *testing.T) {
 				t.Fatalf("n=%d: slot %d differs after rebuild", tc.n, i)
 			}
 		}
-		persistent.ComputeForces(simpleKernel, 2)
-		fresh.ComputeForces(simpleKernel, 2)
+		persistent.ComputeForcesPoolRanges(kern, pool)
+		fresh.ComputeForcesPoolRanges(kern, pool)
 		pax := make([]float32, tc.n)
 		pay := make([]float32, tc.n)
 		paz := make([]float32, tc.n)
@@ -92,16 +101,15 @@ func TestMeshRebuildMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestMeshComputeForcesPoolMatches checks the pooled dispatch against the
-// serial path (bitwise: cells own disjoint output ranges).
+// TestMeshComputeForcesPoolMatches checks the 4-worker pooled dispatch
+// against the serial copy walk (bitwise: cells own disjoint output ranges).
 func TestMeshComputeForcesPoolMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	x, y, z := randomMeshParticles(800, 18, rng)
-	pool := par.NewPool(4)
-	a := BuildMesh(x, y, z, 3.0)
-	a.ComputeForcesPool(simpleKernel, pool)
-	b := BuildMesh(x, y, z, 3.0)
-	b.ComputeForces(simpleKernel, 1)
+	a := buildMesh(x, y, z, 3.0)
+	a.ComputeForcesPoolRanges(meshCopyAdapter(simpleKernel), par.NewPool(4))
+	b := buildMesh(x, y, z, 3.0)
+	meshCopyWalk(b, simpleKernel)
 	for i := range a.AX {
 		if a.AX[i] != b.AX[i] || a.AY[i] != b.AY[i] || a.AZ[i] != b.AZ[i] {
 			t.Fatalf("pooled force %d differs", i)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hacc/internal/par"
 	"hacc/internal/tree"
 )
 
@@ -68,7 +69,7 @@ func TestApplyMatchesScalarFSR(t *testing.T) {
 		ax := make([]float32, nl)
 		ay := make([]float32, nl)
 		az := make([]float32, nl)
-		n := k.Apply(lx, ly, lz, nx, nyv, nz, ax, ay, az)
+		n := k.applyCopy(lx, ly, lz, nx, nyv, nz, ax, ay, az)
 		if n != int64(nl)*int64(nn) {
 			t.Fatalf("interaction count %d want %d", n, nl*nn)
 		}
@@ -173,7 +174,7 @@ func TestChainingMeshBinning(t *testing.T) {
 		y[i] = rng.Float32() * 20
 		z[i] = rng.Float32() * 20
 	}
-	m := BuildMesh(x, y, z, 3.0)
+	m := buildMesh(x, y, z, 3.0)
 	// orig is a permutation; each particle is in the right cell range.
 	seen := make([]bool, n)
 	for p, o := range m.orig {
@@ -216,15 +217,16 @@ func TestP3MMatchesTree(t *testing.T) {
 		y[i] = rng.Float32() * 15
 		z[i] = rng.Float32() * 15
 	}
+	pool := par.NewPool(2)
 	tr := tree.Build(x, y, z, 32)
-	tr.ComputeForces(k.Apply, k.RCut, 2)
+	tr.ComputeForcesPoolRanges(k.ApplyRanges, k.RCut, pool)
 	tax := make([]float32, n)
 	tay := make([]float32, n)
 	taz := make([]float32, n)
 	tr.AccelInto(tax, tay, taz)
 
-	m := BuildMesh(x, y, z, k.RCut)
-	m.ComputeForces(k.Apply, 2)
+	m := buildMesh(x, y, z, k.RCut)
+	m.ComputeForcesPoolRanges(k.ApplyRanges, pool)
 	pax := make([]float32, n)
 	pay := make([]float32, n)
 	paz := make([]float32, n)
@@ -263,7 +265,7 @@ func TestKernelMomentumConservationProperty(t *testing.T) {
 			z[i] = rng.Float32() * 8
 		}
 		tr := tree.Build(x, y, z, 16)
-		tr.ComputeForces(k.Apply, k.RCut, 1)
+		tr.ComputeForcesPoolRanges(k.ApplyRanges, k.RCut, par.NewPool(1))
 		ax := make([]float32, n)
 		ay := make([]float32, n)
 		az := make([]float32, n)

@@ -11,18 +11,29 @@
 //
 // The short-range force is compact (zero beyond RCut), and periodic images
 // are materialized as overloaded replica particles by package domain, so
-// the tree is strictly local with open boundaries and no multipoles. PR 1
-// made Tree and the multi-tree Forest persistent: Rebuild re-partitions in
-// place (retaining coordinate copies, accumulators, the node pool, the
-// leaf cache, and per-worker walk scratch) and ComputeForcesPool walks
-// leaves over par.Pool with a shared atomic cursor.
+// the tree is strictly local with open boundaries and no multipoles.
 //
-// PR 7 made the walk copy-free: ComputeForcesRanges (and the Pool/Forest
-// variants) hands the kernel ordered (start,end) spans over the tree's
-// leaf-contiguous SoA arrays instead of gathering neighbor coordinates.
-// Leaves are visited in ascending index order so adjacent spans coalesce,
-// and a subtree entirely inside the search box is emitted as one span
-// without descending — both invisible to the kernel, because span order
-// equals the copy walk's concatenation order (the bitwise oracle
-// TestRangeWalkMatchesCopyWalk). The copy walk remains for that oracle.
+// Tree and the multi-tree Forest are persistent: Rebuild re-partitions in
+// place, retaining coordinate copies, accumulators, the node pool, the leaf
+// cache, and per-worker walk scratch. Each has one production force path,
+// dispatched on par.Pool:
+//
+//   - Tree.ComputeForcesPoolRanges: workers pull leaves from a shared
+//     atomic cursor.
+//   - Tree.ComputeForcesStealRanges: the same per-leaf walk on the pool's
+//     deque-stealing dispatch (par.ForSteal), for clustered leaf costs.
+//   - Forest.ComputeForcesStealRanges: one stealing dispatch over the
+//     flattened (tree, leaf) index space of every sub-tree. NewForest
+//     takes the pool, and Rebuild builds the sub-trees on it too.
+//
+// All three are bitwise independent of the worker count. The walk is
+// copy-free: it hands the kernel (shortrange.Kernel.ApplyRanges) ordered
+// (start,end) spans over the tree's leaf-contiguous SoA arrays instead of
+// gathering neighbor coordinates. Leaves are visited in ascending index
+// order so adjacent spans coalesce, and a subtree entirely inside the
+// search box is emitted as one span without descending — both invisible
+// to the kernel, because span order equals a gathering walk's
+// concatenation order. That gathering walk survives only as a test oracle
+// (copyWalk in ranges_test.go), pinned bitwise against the range walk by
+// TestRangeWalkMatchesCopyWalk and its forest variant.
 package tree

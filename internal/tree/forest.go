@@ -1,19 +1,17 @@
 package tree
 
-import (
-	"sync"
-
-	"hacc/internal/par"
-)
+import "hacc/internal/par"
 
 // Forest is the multi-tree configuration the paper lists as the next
 // load-balancing step (§VI: "improve (nodal) load balancing by using
 // multiple trees at each rank, enabling an improved threading of the
 // tree-build"). The rank's particles are split into slabs along the
-// longest axis; each slab gets its own RCB tree, built concurrently. A
-// slab's tree also holds halo copies of particles within RCut of its
-// boundaries so that its owned particles see every neighbor; forces
-// computed for halo copies are discarded (their owning slab computes them).
+// longest axis; each slab gets its own RCB tree, built concurrently on the
+// forest's worker pool, and the leaves of every tree are walked by one
+// stealing dispatch over the same pool. A slab's tree also holds halo
+// copies of particles within RCut of its boundaries so that its owned
+// particles see every neighbor; forces computed for halo copies are
+// discarded (their owning slab computes them).
 type Forest struct {
 	Trees []*Tree
 	// gather[t] lists the caller indices in tree t's build set, owned
@@ -21,9 +19,9 @@ type Forest struct {
 	gather [][]int32
 	owned  []int32
 
-	leafSize int
-	maxSub   int
-	rcut     float64
+	pool   *par.Pool
+	maxSub int
+	rcut   float64
 	// Full-capacity backing arrays; Trees/gather/owned are views of these,
 	// resliced per rebuild (the effective slab count varies with the
 	// particle extent). Sub-trees and per-tree coordinate scratch persist.
@@ -34,13 +32,14 @@ type Forest struct {
 }
 
 // NewForest returns an empty forest of up to nsub slab trees with the given
-// fat-leaf capacity and cutoff; call Rebuild to populate it.
-func NewForest(leafSize, nsub int, rcut float64) *Forest {
+// fat-leaf capacity and cutoff, built and walked on pool; call Rebuild to
+// populate it.
+func NewForest(leafSize, nsub int, rcut float64, pool *par.Pool) *Forest {
 	if nsub < 1 {
 		nsub = 1
 	}
 	f := &Forest{
-		leafSize:  leafSize,
+		pool:      pool,
 		maxSub:    nsub,
 		rcut:      rcut,
 		trees:     make([]*Tree, nsub),
@@ -53,14 +52,6 @@ func NewForest(leafSize, nsub int, rcut float64) *Forest {
 	for t := 0; t < nsub; t++ {
 		f.trees[t] = New(leafSize)
 	}
-	return f
-}
-
-// BuildForest partitions the particles into nsub slabs (along the longest
-// bounding-box axis) and builds the sub-trees concurrently.
-func BuildForest(x, y, z []float32, leafSize, nsub int, rcut float64) *Forest {
-	f := NewForest(leafSize, nsub, rcut)
-	f.Rebuild(x, y, z)
 	return f
 }
 
@@ -146,12 +137,10 @@ func (f *Forest) Rebuild(x, y, z []float32) {
 			f.gather[s+1] = append(f.gather[s+1], int32(i))
 		}
 	}
-	// Concurrent builds (the threading-of-tree-build payoff).
-	var wg sync.WaitGroup
-	for t := 0; t < nsub; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
+	// Concurrent builds (the threading-of-tree-build payoff): one tree per
+	// pool index, each built exactly as a serial Rebuild would build it.
+	f.pool.ForGrain(nsub, 1, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
 			idx := f.gather[t]
 			tx := par.Resize(f.tx[t], len(idx))
 			ty := par.Resize(f.ty[t], len(idx))
@@ -161,61 +150,23 @@ func (f *Forest) Rebuild(x, y, z []float32) {
 			}
 			f.tx[t], f.ty[t], f.tz[t] = tx, ty, tz
 			f.Trees[t].Rebuild(tx, ty, tz)
-		}(t)
-	}
-	wg.Wait()
-}
-
-// ComputeForces evaluates every sub-tree; threads are split across trees
-// and within them.
-func (f *Forest) ComputeForces(kern LeafKernel, rcut float64, threads int) {
-	perTree := threads / len(f.Trees)
-	if perTree < 1 {
-		perTree = 1
-	}
-	var wg sync.WaitGroup
-	for t := range f.Trees {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			f.Trees[t].ComputeForces(kern, rcut, perTree)
-		}(t)
-	}
-	wg.Wait()
-}
-
-// ComputeForcesRanges evaluates every sub-tree on the copy-free range walk
-// (see Tree.ComputeForcesRanges); threads are split across trees and within
-// them.
-func (f *Forest) ComputeForcesRanges(kern RangeLeafKernel, rcut float64, threads int) {
-	perTree := threads / len(f.Trees)
-	if perTree < 1 {
-		perTree = 1
-	}
-	var wg sync.WaitGroup
-	for t := range f.Trees {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			f.Trees[t].ComputeForcesRanges(kern, rcut, perTree)
-		}(t)
-	}
-	wg.Wait()
+		}
+	})
 }
 
 // ComputeForcesStealRanges evaluates every sub-tree with leaves distributed
-// by the pool's deque-stealing dispatch over the flattened (tree, leaf)
-// index space. Unlike ComputeForcesRanges' static per-tree goroutine split
-// (which strands threads on cheap slabs when clustering makes per-slab cost
-// diverge), any worker can walk any tree's leaves, so the forest
-// self-balances. Bitwise ≡ ComputeForcesRanges for any worker count: each
-// leaf accumulates only into its own span of its tree's arrays. Returns the
-// number of stolen leaves.
-func (f *Forest) ComputeForcesStealRanges(kern RangeLeafKernel, rcut float64, pool *par.Pool) int64 {
+// by the forest pool's deque-stealing dispatch over the flattened (tree,
+// leaf) index space: any worker can walk any tree's leaves, so the forest
+// self-balances when clustering makes per-slab cost diverge. Bitwise
+// independent of the worker count, and of any static split of workers over
+// trees: each leaf accumulates only into its own span of its tree's arrays.
+// Returns the number of stolen leaves.
+func (f *Forest) ComputeForcesStealRanges(kern RangeLeafKernel, rcut float64) int64 {
+	pool := f.pool
 	total := 0
 	for _, tr := range f.Trees {
 		tr.prepForces()
-		tr.ensureWalk(pool.Workers())
+		tr.walk = par.Resize(tr.walk, pool.Workers())
 		total += len(tr.leaves)
 	}
 	if total == 0 {
@@ -238,10 +189,9 @@ func (f *Forest) ComputeForcesStealRanges(kern RangeLeafKernel, rcut float64, po
 			}
 			tr := trees[t]
 			ws := &tr.walk[w]
-			i, v, s := tr.walkLeafRanges(ws, g-base, kern, rc)
+			i, v := tr.walkLeafRanges(ws, g-base, kern, rc)
 			tr.Interactions.Add(i)
 			tr.NodesVisited.Add(v)
-			tr.NeighborCount.Add(s)
 		}
 	})
 }
@@ -279,15 +229,6 @@ func (f *Forest) Interactions() int64 {
 	var s int64
 	for _, t := range f.Trees {
 		s += t.Interactions.Load()
-	}
-	return s
-}
-
-// NeighborCount sums gathered neighbor-list lengths across sub-trees.
-func (f *Forest) NeighborCount() int64 {
-	var s int64
-	for _, t := range f.Trees {
-		s += t.NeighborCount.Load()
 	}
 	return s
 }

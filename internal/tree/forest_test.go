@@ -5,24 +5,34 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hacc/internal/par"
 )
+
+// buildForest returns a forest over the particles, built on a fresh pool of
+// the given size.
+func buildForest(x, y, z []float32, leafSize, nsub int, rcut float64, workers int) *Forest {
+	f := NewForest(leafSize, nsub, rcut, par.NewPool(workers))
+	f.Rebuild(x, y, z)
+	return f
+}
 
 func TestForestMatchesSingleTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x, y, z := randomParticles(1500, 20, rng)
 	const rcut = 2.5
-	kern := testKernel(rcut * rcut)
+	kern := copyAdapter(testKernel(rcut * rcut))
 
 	single := Build(x, y, z, 32)
-	single.ComputeForces(kern, rcut, 2)
+	single.ComputeForcesPoolRanges(kern, rcut, par.NewPool(2))
 	sx := make([]float32, len(x))
 	sy := make([]float32, len(x))
 	sz := make([]float32, len(x))
 	single.AccelInto(sx, sy, sz)
 
 	for _, nsub := range []int{1, 2, 4, 7} {
-		forest := BuildForest(x, y, z, 32, nsub, rcut)
-		forest.ComputeForces(kern, rcut, 4)
+		forest := buildForest(x, y, z, 32, nsub, rcut, 4)
+		forest.ComputeForcesStealRanges(kern, rcut)
 		fx := make([]float32, len(x))
 		fy := make([]float32, len(x))
 		fz := make([]float32, len(x))
@@ -46,15 +56,16 @@ func TestForestClampsNarrowSlabs(t *testing.T) {
 	// 100 particles in a 4-cell span with rcut=2: at most 2 slabs fit.
 	rng := rand.New(rand.NewSource(3))
 	x, y, z := randomParticles(100, 4, rng)
-	f := BuildForest(x, y, z, 16, 16, 2.0)
+	f := buildForest(x, y, z, 16, 16, 2.0, 1)
 	if len(f.Trees) > 2 {
 		t.Errorf("forest kept %d slabs for a 4-cell span at rcut=2", len(f.Trees))
 	}
 }
 
 func TestForestEmptyAndSingle(t *testing.T) {
-	f := BuildForest(nil, nil, nil, 16, 4, 2)
-	f.ComputeForces(testKernel(4), 2, 2)
+	kern := copyAdapter(testKernel(4))
+	f := buildForest(nil, nil, nil, 16, 4, 2, 2)
+	f.ComputeForcesStealRanges(kern, 2)
 	f.AccelInto(nil, nil, nil)
 	if f.Interactions() != 0 {
 		t.Error("empty forest did work")
@@ -62,8 +73,8 @@ func TestForestEmptyAndSingle(t *testing.T) {
 	x := []float32{1}
 	y := []float32{2}
 	z := []float32{3}
-	f = BuildForest(x, y, z, 16, 4, 2)
-	f.ComputeForces(testKernel(4), 2, 2)
+	f = buildForest(x, y, z, 16, 4, 2, 2)
+	f.ComputeForcesStealRanges(kern, 2)
 	ax := make([]float32, 1)
 	f.AccelInto(ax, ax, ax)
 }
@@ -82,11 +93,11 @@ func TestForestOwnershipPartitionProperty(t *testing.T) {
 			}
 			return int64(len(lx)) * int64(len(nx))
 		}
-		forest := BuildForest(x, y, z, 24, nsub, 2.0)
+		forest := buildForest(x, y, z, 24, nsub, 2.0, 3)
 		ax := make([]float32, n)
 		ay := make([]float32, n)
 		az := make([]float32, n)
-		forest.ComputeForces(countKern, 2.0, 3)
+		forest.ComputeForcesStealRanges(copyAdapter(countKern), 2.0)
 		forest.AccelInto(ax, ay, az)
 		for i := range ax {
 			if ax[i] != 1 {

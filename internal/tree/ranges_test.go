@@ -4,15 +4,21 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hacc/internal/par"
 )
+
+// leafKernel is the copy-list kernel signature of the test oracles: the
+// leaf's neighbors arrive gathered into contiguous (nx,ny,nz).
+type leafKernel func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64
 
 // copyAdapter turns a copy-list kernel into a RangeLeafKernel by gathering
 // the spans into a contiguous list, in span order. Running the range walk
-// through this adapter must reproduce the copy walk bitwise: the two walks
-// are then proven to present identical neighbor sets in identical order,
-// and any difference between production paths is confined to the kernel's
+// through this adapter must reproduce copyWalk bitwise: the two walks are
+// then proven to present identical neighbor sets in identical order, and
+// any difference between production paths is confined to the kernel's
 // documented-ULP accumulation (shortrange.TestApplyRangesULPBound).
-func copyAdapter(kern LeafKernel) RangeLeafKernel {
+func copyAdapter(kern leafKernel) RangeLeafKernel {
 	return func(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64 {
 		var nx, ny, nz []float32
 		for _, r := range ranges {
@@ -24,29 +30,69 @@ func copyAdapter(kern LeafKernel) RangeLeafKernel {
 	}
 }
 
+// copyWalk is the gathering reference walk, serial: for each leaf it
+// descends to every overlapping leaf (no whole-subtree short-cut), copies
+// their coordinates into one contiguous list in ascending leaf order, and
+// calls kern. Forces land in AX/AY/AZ (zeroed first) and Interactions
+// counts as in the production walks.
+func copyWalk(t *Tree, kern leafKernel, rcut float64) {
+	t.prepForces()
+	rc := float32(rcut)
+	var nbrX, nbrY, nbrZ []float32
+	var stack []int32
+	for _, li := range t.leaves {
+		leaf := &t.nodes[li]
+		var lo, hi [3]float32
+		for d := 0; d < 3; d++ {
+			lo[d] = leaf.lo[d] - rc
+			hi[d] = leaf.hi[d] + rc
+		}
+		nbrX, nbrY, nbrZ = nbrX[:0], nbrY[:0], nbrZ[:0]
+		stack = append(stack[:0], 0)
+		for len(stack) > 0 {
+			nd := &t.nodes[stack[len(stack)-1]]
+			stack = stack[:len(stack)-1]
+			if nd.lo[0] > hi[0] || nd.hi[0] < lo[0] ||
+				nd.lo[1] > hi[1] || nd.hi[1] < lo[1] ||
+				nd.lo[2] > hi[2] || nd.hi[2] < lo[2] {
+				continue
+			}
+			if nd.left < 0 {
+				nbrX = append(nbrX, t.X[nd.start:nd.end]...)
+				nbrY = append(nbrY, t.Y[nd.start:nd.end]...)
+				nbrZ = append(nbrZ, t.Z[nd.start:nd.end]...)
+				continue
+			}
+			stack = append(stack, nd.right, nd.left)
+		}
+		s, e := leaf.start, leaf.end
+		t.Interactions.Add(kern(t.X[s:e], t.Y[s:e], t.Z[s:e], nbrX, nbrY, nbrZ,
+			t.AX[s:e], t.AY[s:e], t.AZ[s:e]))
+	}
+}
+
 // TestRangeWalkMatchesCopyWalk is the bitwise walk oracle: the range walk
 // (with leaf-span coalescing and whole-subtree subsumption) fed through the
 // copy adapter must equal the copy walk exactly, for a spread of leaf sizes
-// and cutoffs, in both the goroutine and single-thread configurations.
+// and cutoffs, on a multi-worker pool.
 func TestRangeWalkMatchesCopyWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	kern := testKernel(4)
+	pool := par.NewPool(3)
 	for _, leafSize := range []int{1, 8, 64} {
 		for _, rcut := range []float64{0.5, 2, 6} {
 			x, y, z := randomParticles(700, 16, rng)
 			tr := Build(x, y, z, leafSize)
-			tr.ComputeForces(kern, rcut, 3)
+			copyWalk(tr, kern, rcut)
 			ax0 := append([]float32(nil), tr.AX...)
 			ay0 := append([]float32(nil), tr.AY...)
 			az0 := append([]float32(nil), tr.AZ...)
-			copyNbr := tr.NeighborCount.Load()
+			copyInter := tr.Interactions.Load()
 
 			tr.Interactions.Store(0)
-			tr.NodesVisited.Store(0)
-			tr.NeighborCount.Store(0)
-			tr.ComputeForcesRanges(copyAdapter(kern), rcut, 3)
-			if got, want := tr.NeighborCount.Load(), copyNbr; got != want {
-				t.Fatalf("leaf=%d rcut=%g: range walk saw %d neighbors, copy walk %d",
+			tr.ComputeForcesPoolRanges(copyAdapter(kern), rcut, pool)
+			if got, want := tr.Interactions.Load(), copyInter; got != want {
+				t.Fatalf("leaf=%d rcut=%g: range walk evaluated %d interactions, copy walk %d",
 					leafSize, rcut, got, want)
 			}
 			for i := range ax0 {
@@ -62,22 +108,28 @@ func TestRangeWalkMatchesCopyWalk(t *testing.T) {
 }
 
 // TestForestRangeWalkMatchesCopyWalk extends the walk oracle across the
-// multi-tree forest path (halo construction included).
+// multi-tree forest path (halo construction included): the forest's
+// stealing walk against copyWalk over each of its trees.
 func TestForestRangeWalkMatchesCopyWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	x, y, z := randomParticles(900, 20, rng)
 	kern := testKernel(4)
 	const rcut = 2.0
 
-	f0 := BuildForest(x, y, z, 16, 3, rcut)
-	f0.ComputeForces(kern, rcut, 3)
+	f0 := buildForest(x, y, z, 16, 3, rcut, 1)
+	for _, tr := range f0.Trees {
+		copyWalk(tr, kern, rcut)
+	}
 	ax0 := make([]float32, len(x))
 	ay0 := make([]float32, len(x))
 	az0 := make([]float32, len(x))
 	f0.AccelInto(ax0, ay0, az0)
 
-	f1 := BuildForest(x, y, z, 16, 3, rcut)
-	f1.ComputeForcesRanges(copyAdapter(kern), rcut, 3)
+	f1 := buildForest(x, y, z, 16, 3, rcut, 3)
+	f1.ComputeForcesStealRanges(copyAdapter(kern), rcut)
+	if got, want := f1.Interactions(), f0.Interactions(); got != want {
+		t.Fatalf("range walk evaluated %d interactions, copy walk %d", got, want)
+	}
 	ax1 := make([]float32, len(x))
 	ay1 := make([]float32, len(x))
 	az1 := make([]float32, len(x))
@@ -95,19 +147,19 @@ func TestForestRangeWalkMatchesCopyWalk(t *testing.T) {
 
 // TestRangeWalkThreadInvariance: the range walk partitions leaves over
 // workers dynamically, but per-leaf spans are deterministic, so results
-// must be independent of thread count and of goroutine-vs-pool dispatch.
+// must be independent of the pool size.
 func TestRangeWalkThreadInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	x, y, z := randomParticles(600, 12, rng)
-	kern := testKernel(4)
+	kern := copyAdapter(testKernel(4))
 	tr := Build(x, y, z, 24)
-	tr.ComputeForcesRanges(copyAdapter(kern), 2, 1)
+	tr.ComputeForcesPoolRanges(kern, 2, par.NewPool(1))
 	ax0 := append([]float32(nil), tr.AX...)
-	for _, threads := range []int{2, 5} {
-		tr.ComputeForcesRanges(copyAdapter(kern), 2, threads)
+	for _, workers := range []int{2, 5} {
+		tr.ComputeForcesPoolRanges(kern, 2, par.NewPool(workers))
 		for i := range ax0 {
 			if math.Float32bits(tr.AX[i]) != math.Float32bits(ax0[i]) {
-				t.Fatalf("threads=%d: particle %d: %v vs %v", threads, i, tr.AX[i], ax0[i])
+				t.Fatalf("workers=%d: particle %d: %v vs %v", workers, i, tr.AX[i], ax0[i])
 			}
 		}
 	}

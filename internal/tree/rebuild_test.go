@@ -2,14 +2,16 @@ package tree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hacc/internal/par"
 )
 
-// treeForces computes forces and scatters them to caller order.
-func treeForces(tr *Tree, n, threads int) (ax, ay, az []float32) {
-	tr.ComputeForces(testKernel(9), 3, threads)
+// treeForces computes forces on a pool of the given size and scatters
+// them to caller order.
+func treeForces(tr *Tree, n, workers int) (ax, ay, az []float32) {
+	tr.ComputeForcesPoolRanges(copyAdapter(testKernel(9)), 3, par.NewPool(workers))
 	ax = make([]float32, n)
 	ay = make([]float32, n)
 	az = make([]float32, n)
@@ -58,26 +60,26 @@ func TestRebuildResetsStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	x, y, z := randomParticles(300, 8, rng)
 	tr := Build(x, y, z, 16)
-	tr.ComputeForces(testKernel(9), 3, 2)
+	tr.ComputeForcesPoolRanges(copyAdapter(testKernel(9)), 3, par.NewPool(2))
 	if tr.Interactions.Load() == 0 {
 		t.Fatal("no interactions counted")
 	}
 	tr.Rebuild(x, y, z)
-	if tr.Interactions.Load() != 0 || tr.NodesVisited.Load() != 0 || tr.NeighborCount.Load() != 0 {
+	if tr.Interactions.Load() != 0 || tr.NodesVisited.Load() != 0 {
 		t.Fatal("Rebuild did not reset statistics")
 	}
 }
 
-// TestComputeForcesPoolMatches checks the pooled dispatch against the
-// spawning path (bitwise: leaves own disjoint output ranges).
+// TestComputeForcesPoolMatches checks the 4-worker pooled dispatch against
+// the serial 1-worker run (bitwise: leaves own disjoint output ranges).
 func TestComputeForcesPoolMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	x, y, z := randomParticles(600, 12, rng)
-	pool := par.NewPool(4)
+	kern := copyAdapter(testKernel(9))
 	a := Build(x, y, z, 24)
-	a.ComputeForcesPool(testKernel(9), 3, pool)
+	a.ComputeForcesPoolRanges(kern, 3, par.NewPool(4))
 	b := Build(x, y, z, 24)
-	b.ComputeForces(testKernel(9), 3, 1)
+	b.ComputeForcesPoolRanges(kern, 3, par.NewPool(1))
 	for i := range a.AX {
 		if a.AX[i] != b.AX[i] || a.AY[i] != b.AY[i] || a.AZ[i] != b.AZ[i] {
 			t.Fatalf("pooled force %d differs", i)
@@ -88,35 +90,43 @@ func TestComputeForcesPoolMatches(t *testing.T) {
 	}
 }
 
-// TestForestRebuildMatchesBuild reuses one Forest across particle sets and
-// compares against fresh BuildForest results.
+// TestForestRebuildMatchesBuild reuses one Forest per pool size across
+// particle sets and compares each against a fresh forest built on a
+// 1-worker pool: the pooled concurrent sub-tree builds must give the same
+// trees, and the stealing walk the same forces and counts, bitwise.
 func TestForestRebuildMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	persistent := NewForest(16, 4, 2)
+	kern := copyAdapter(testKernel(4))
+	workers := []int{1, 2, 4}
+	persistent := make([]*Forest, len(workers))
+	for i, w := range workers {
+		persistent[i] = NewForest(16, 4, 2, par.NewPool(w))
+	}
 	for _, n := range []int{800, 250, 0, 1200} {
 		x, y, z := randomParticles(n, 20, rng)
-		persistent.Rebuild(x, y, z)
-		fresh := BuildForest(x, y, z, 16, 4, 2)
-		if len(persistent.Trees) != len(fresh.Trees) {
-			t.Fatalf("n=%d: tree counts differ: %d vs %d", n, len(persistent.Trees), len(fresh.Trees))
-		}
-		persistent.ComputeForces(testKernel(4), 2, 3)
-		fresh.ComputeForces(testKernel(4), 2, 3)
-		pax := make([]float32, n)
-		pay := make([]float32, n)
-		paz := make([]float32, n)
-		fax := make([]float32, n)
-		fay := make([]float32, n)
-		faz := make([]float32, n)
-		persistent.AccelInto(pax, pay, paz)
-		fresh.AccelInto(fax, fay, faz)
-		for i := 0; i < n; i++ {
-			if pax[i] != fax[i] || pay[i] != fay[i] || paz[i] != faz[i] {
-				t.Fatalf("n=%d: forest force %d differs", n, i)
+		fresh := buildForest(x, y, z, 16, 4, 2, 1)
+		fresh.ComputeForcesStealRanges(kern, 2)
+		for i, w := range workers {
+			p := persistent[i]
+			p.Rebuild(x, y, z)
+			p.ComputeForcesStealRanges(kern, 2)
+			if len(p.Trees) != len(fresh.Trees) {
+				t.Fatalf("workers=%d n=%d: tree counts differ: %d vs %d", w, n, len(p.Trees), len(fresh.Trees))
 			}
-		}
-		if persistent.Interactions() != fresh.Interactions() {
-			t.Fatalf("n=%d: interactions differ: %d vs %d", n, persistent.Interactions(), fresh.Interactions())
+			for ti, ft := range fresh.Trees {
+				pt := p.Trees[ti]
+				if !slices.Equal(pt.nodes, ft.nodes) || !slices.Equal(pt.orig, ft.orig) ||
+					!slices.Equal(pt.X, ft.X) || !slices.Equal(pt.Y, ft.Y) || !slices.Equal(pt.Z, ft.Z) {
+					t.Fatalf("workers=%d n=%d tree %d: structure differs", w, n, ti)
+				}
+				if !slices.Equal(pt.AX, ft.AX) || !slices.Equal(pt.AY, ft.AY) || !slices.Equal(pt.AZ, ft.AZ) {
+					t.Fatalf("workers=%d n=%d tree %d: forces differ", w, n, ti)
+				}
+			}
+			if p.Interactions() != fresh.Interactions() || p.NodesVisited() != fresh.NodesVisited() {
+				t.Fatalf("workers=%d n=%d: counts (%d,%d) vs (%d,%d)", w, n,
+					p.Interactions(), p.NodesVisited(), fresh.Interactions(), fresh.NodesVisited())
+			}
 		}
 	}
 }

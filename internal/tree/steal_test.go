@@ -21,16 +21,14 @@ func TestStealWalkMatchesPoolWalk(t *testing.T) {
 	ax0 := append([]float32(nil), tr.AX...)
 	ay0 := append([]float32(nil), tr.AY...)
 	az0 := append([]float32(nil), tr.AZ...)
-	inter0, visit0, nbr0 := tr.Interactions.Load(), tr.NodesVisited.Load(), tr.NeighborCount.Load()
+	inter0, visit0 := tr.Interactions.Load(), tr.NodesVisited.Load()
 	for _, workers := range []int{1, 2, 3, 5} {
 		tr.Interactions.Store(0)
 		tr.NodesVisited.Store(0)
-		tr.NeighborCount.Store(0)
 		tr.ComputeForcesStealRanges(kern, rcut, par.NewPool(workers))
-		if tr.Interactions.Load() != inter0 || tr.NodesVisited.Load() != visit0 || tr.NeighborCount.Load() != nbr0 {
-			t.Fatalf("workers=%d: stats (%d,%d,%d) differ from cursor walk (%d,%d,%d)",
-				workers, tr.Interactions.Load(), tr.NodesVisited.Load(), tr.NeighborCount.Load(),
-				inter0, visit0, nbr0)
+		if tr.Interactions.Load() != inter0 || tr.NodesVisited.Load() != visit0 {
+			t.Fatalf("workers=%d: stats (%d,%d) differ from cursor walk (%d,%d)",
+				workers, tr.Interactions.Load(), tr.NodesVisited.Load(), inter0, visit0)
 		}
 		for i := range ax0 {
 			if math.Float32bits(tr.AX[i]) != math.Float32bits(ax0[i]) ||
@@ -44,15 +42,16 @@ func TestStealWalkMatchesPoolWalk(t *testing.T) {
 }
 
 // TestForestStealMatchesStatic pins the flattened (tree, leaf) stealing
-// dispatch against the static per-tree goroutine split across worker
-// counts: the two schedules must agree bitwise on scattered accelerations
-// and exactly on the summed statistics.
+// dispatch across worker counts against the 1-worker pool, where every
+// leaf runs serially in (tree, leaf) order — the static schedule: the
+// schedules must agree bitwise on scattered accelerations and exactly on
+// the summed statistics.
 func TestForestStealMatchesStatic(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	kern := copyAdapter(testKernel(4))
 	const rcut = 2.0
-	// Clustered distribution: most particles in one slab so the static split
-	// is badly imbalanced — the case the stealing dispatch exists for.
+	// Clustered distribution: most particles in one slab so a static
+	// per-tree split is badly imbalanced — the case stealing exists for.
 	n := 900
 	x := make([]float32, n)
 	y := make([]float32, n)
@@ -67,20 +66,20 @@ func TestForestStealMatchesStatic(t *testing.T) {
 		z[i] = rng.Float32() * 20
 	}
 
-	f0 := BuildForest(x, y, z, 16, 3, rcut)
-	f0.ComputeForcesRanges(kern, rcut, 3)
+	f0 := buildForest(x, y, z, 16, 3, rcut, 1)
+	f0.ComputeForcesStealRanges(kern, rcut)
 	ax0 := make([]float32, n)
 	ay0 := make([]float32, n)
 	az0 := make([]float32, n)
 	f0.AccelInto(ax0, ay0, az0)
-	inter0, visit0, nbr0 := f0.Interactions(), f0.NodesVisited(), f0.NeighborCount()
+	inter0, visit0 := f0.Interactions(), f0.NodesVisited()
 
-	for _, workers := range []int{1, 2, 4} {
-		f1 := BuildForest(x, y, z, 16, 3, rcut)
-		f1.ComputeForcesStealRanges(kern, rcut, par.NewPool(workers))
-		if f1.Interactions() != inter0 || f1.NodesVisited() != visit0 || f1.NeighborCount() != nbr0 {
-			t.Fatalf("workers=%d: stats (%d,%d,%d) differ from static (%d,%d,%d)",
-				workers, f1.Interactions(), f1.NodesVisited(), f1.NeighborCount(), inter0, visit0, nbr0)
+	for _, workers := range []int{2, 3, 4} {
+		f1 := buildForest(x, y, z, 16, 3, rcut, workers)
+		f1.ComputeForcesStealRanges(kern, rcut)
+		if f1.Interactions() != inter0 || f1.NodesVisited() != visit0 {
+			t.Fatalf("workers=%d: stats (%d,%d) differ from 1-worker (%d,%d)",
+				workers, f1.Interactions(), f1.NodesVisited(), inter0, visit0)
 		}
 		ax1 := make([]float32, n)
 		ay1 := make([]float32, n)
@@ -99,9 +98,8 @@ func TestForestStealMatchesStatic(t *testing.T) {
 
 // TestForestStealEmpty covers the zero-particle and empty-tree paths.
 func TestForestStealEmpty(t *testing.T) {
-	f := NewForest(16, 3, 2)
-	f.Rebuild(nil, nil, nil)
-	if stolen := f.ComputeForcesStealRanges(copyAdapter(testKernel(4)), 2, par.NewPool(3)); stolen != 0 {
+	f := buildForest(nil, nil, nil, 16, 3, 2, 3)
+	if stolen := f.ComputeForcesStealRanges(copyAdapter(testKernel(4)), 2); stolen != 0 {
 		t.Fatalf("empty forest stole %d leaves", stolen)
 	}
 }

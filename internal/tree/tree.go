@@ -1,21 +1,16 @@
 package tree
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"hacc/internal/par"
 )
 
-// LeafKernel evaluates the short-range force of every neighbor (nx,ny,nz)
-// on every target particle (lx,ly,lz), accumulating into (ax,ay,az) and
-// returning the number of pair interactions evaluated.
-type LeafKernel func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64
-
-// RangeLeafKernel is the copy-free kernel signature (PR 7): instead of a
-// gathered neighbor list it receives the tree's full leaf-contiguous SoA
-// coordinate arrays plus the leaf's neighbor set as ordered (start,end)
-// spans over them. Satisfied by shortrange.Kernel.ApplyRanges.
+// RangeLeafKernel is the copy-free kernel signature: instead of a gathered
+// neighbor list it receives the tree's full leaf-contiguous SoA coordinate
+// arrays plus the leaf's neighbor set as ordered (start,end) spans over
+// them, and returns the number of pair interactions evaluated. Satisfied by
+// shortrange.Kernel.ApplyRanges.
 type RangeLeafKernel func(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64
 
 // node is one RCB tree node; leaves have left == -1.
@@ -47,10 +42,9 @@ type Tree struct {
 
 	// Stats for the bench harness (Fig. 5 / §III time-split claims).
 	// Reset by Rebuild: they count work since the last (re)build.
-	Interactions  atomic.Int64
-	NodesVisited  atomic.Int64
-	NeighborCount atomic.Int64 // summed neighbor-list lengths over leaves
-	LeafCount     int
+	Interactions atomic.Int64
+	NodesVisited atomic.Int64
+	LeafCount    int
 }
 
 // New returns an empty tree with the given fat-leaf capacity; call Rebuild
@@ -88,7 +82,6 @@ func (t *Tree) Rebuild(x, y, z []float32) {
 	t.leaves = t.leaves[:0]
 	t.Interactions.Store(0)
 	t.NodesVisited.Store(0)
-	t.NeighborCount.Store(0)
 	if n > 0 {
 		t.build(0, int32(n))
 	}
@@ -229,19 +222,14 @@ func (t *Tree) Depth() int {
 	return int(max)
 }
 
-// walkScratch is one worker's neighbor-gather buffers, range list, and walk
-// stack, persistent across force evaluations.
+// walkScratch is one worker's range list and walk stack, persistent across
+// force evaluations. Every leaf writes the two slice headers back; the pad
+// keeps neighbouring workers' headers at least a cache line apart, so the
+// per-leaf write-backs never share a line.
 type walkScratch struct {
-	nbrX, nbrY, nbrZ []float32
-	ranges           [][2]int32
-	stack            []int32
-}
-
-// ensureWalk guarantees at least k per-worker scratch slots.
-func (t *Tree) ensureWalk(k int) {
-	for len(t.walk) < k {
-		t.walk = append(t.walk, walkScratch{})
-	}
+	ranges [][2]int32
+	stack  []int32
+	_      [80]byte
 }
 
 // prepForces zeroes the accumulators and the shared leaf cursor.
@@ -252,98 +240,41 @@ func (t *Tree) prepForces() {
 	t.next.Store(0)
 }
 
-// leafLoop pulls leaves from the shared cursor until none remain, using
-// worker w's persistent scratch: the dynamically load-balanced inner loop
-// of the force evaluation.
-func (t *Tree) leafLoop(w int, kern LeafKernel, rc float32) {
-	ws := &t.walk[w]
-	nbrX, nbrY, nbrZ := ws.nbrX, ws.nbrY, ws.nbrZ
-	stack := ws.stack
-	var inter, visited, nbrSum int64
-	for {
-		li := t.next.Add(1) - 1
-		if li >= int64(len(t.leaves)) {
-			break
-		}
-		leaf := &t.nodes[t.leaves[li]]
-		// Expanded search box.
-		var lo, hi [3]float32
-		for d := 0; d < 3; d++ {
-			lo[d] = leaf.lo[d] - rc
-			hi[d] = leaf.hi[d] + rc
-		}
-		nbrX = nbrX[:0]
-		nbrY = nbrY[:0]
-		nbrZ = nbrZ[:0]
-		stack = append(stack[:0], 0)
-		for len(stack) > 0 {
-			ni := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			nd := &t.nodes[ni]
-			visited++
-			if nd.lo[0] > hi[0] || nd.hi[0] < lo[0] ||
-				nd.lo[1] > hi[1] || nd.hi[1] < lo[1] ||
-				nd.lo[2] > hi[2] || nd.hi[2] < lo[2] {
-				continue
-			}
-			if nd.left < 0 {
-				nbrX = append(nbrX, t.X[nd.start:nd.end]...)
-				nbrY = append(nbrY, t.Y[nd.start:nd.end]...)
-				nbrZ = append(nbrZ, t.Z[nd.start:nd.end]...)
-				continue
-			}
-			// Right below left so the left child pops first: leaves are
-			// visited in ascending particle-index order, the same order
-			// leafLoopRanges emits spans in — keeping the two walks
-			// bitwise-comparable (TestRangeWalkMatchesCopyWalk).
-			stack = append(stack, nd.right, nd.left)
-		}
-		nbrSum += int64(len(nbrX))
-		s, e := leaf.start, leaf.end
-		inter += kern(t.X[s:e], t.Y[s:e], t.Z[s:e],
-			nbrX, nbrY, nbrZ,
-			t.AX[s:e], t.AY[s:e], t.AZ[s:e])
-	}
-	ws.nbrX, ws.nbrY, ws.nbrZ = nbrX, nbrY, nbrZ
-	ws.stack = stack
-	t.Interactions.Add(inter)
-	t.NodesVisited.Add(visited)
-	t.NeighborCount.Add(nbrSum)
-}
-
-// leafLoopRanges is leafLoop without the gather: the walk names each leaf's
-// neighbor set as ordered (start,end) spans over the tree's leaf-contiguous
-// SoA arrays instead of copying O(neighbors) coordinates into scratch.
-// Because leaves pop in ascending index order, spans from adjacent leaves
-// coalesce (the common case: siblings pruned together), and a subtree whose
-// box lies entirely inside the search box is emitted as one span without
-// descending — its particle range [start,end) is contiguous by RCB
-// construction, and the span order equals the copy walk's leaf-by-leaf
-// concatenation order, so both short-cuts are invisible to the kernel.
+// leafLoopRanges pulls leaves from the shared cursor until none remain,
+// using worker w's persistent scratch: the dynamically load-balanced inner
+// loop of ComputeForcesPoolRanges.
 func (t *Tree) leafLoopRanges(w int, kern RangeLeafKernel, rc float32) {
 	ws := &t.walk[w]
-	var inter, visited, nbrSum int64
+	var inter, visited int64
 	for {
 		li := t.next.Add(1) - 1
 		if li >= int64(len(t.leaves)) {
 			break
 		}
-		i, v, s := t.walkLeafRanges(ws, int(li), kern, rc)
+		i, v := t.walkLeafRanges(ws, int(li), kern, rc)
 		inter += i
 		visited += v
-		nbrSum += s
 	}
 	t.Interactions.Add(inter)
 	t.NodesVisited.Add(visited)
-	t.NeighborCount.Add(nbrSum)
 }
 
 // walkLeafRanges performs the range walk and kernel call for one leaf using
-// the given scratch. It is the per-leaf unit of work shared by the cursor
+// the given scratch: the per-leaf unit of work shared by the cursor
 // dispatch (leafLoopRanges) and the stealing dispatch
-// (ComputeForcesStealRanges); results are bitwise independent of which
+// (ComputeForcesStealRanges). Results are bitwise independent of which
 // worker runs a leaf because accumulation targets only that leaf's span.
-func (t *Tree) walkLeafRanges(ws *walkScratch, li int, kern RangeLeafKernel, rc float32) (inter, visited, nbrSum int64) {
+//
+// The walk names the leaf's neighbor set as ordered (start,end) spans over
+// the tree's leaf-contiguous SoA arrays instead of copying coordinates into
+// scratch. Right is pushed below left so leaves pop in ascending index
+// order; spans from adjacent leaves therefore coalesce (the common case:
+// siblings pruned together), and a subtree whose box lies entirely inside
+// the search box is emitted as one span without descending — its particle
+// range is contiguous by RCB construction. The span order equals the
+// leaf-by-leaf concatenation order of a gathering walk, so both short-cuts
+// are invisible to the kernel (the copy-walk oracle in ranges_test.go).
+func (t *Tree) walkLeafRanges(ws *walkScratch, li int, kern RangeLeafKernel, rc float32) (inter, visited int64) {
 	ranges := ws.ranges
 	stack := ws.stack
 	leaf := &t.nodes[t.leaves[li]]
@@ -375,7 +306,6 @@ func (t *Tree) walkLeafRanges(ws *walkScratch, li int, kern RangeLeafKernel, rc 
 			} else {
 				ranges = append(ranges, [2]int32{nd.start, nd.end})
 			}
-			nbrSum += int64(nd.end - nd.start)
 			continue
 		}
 		stack = append(stack, nd.right, nd.left)
@@ -386,88 +316,20 @@ func (t *Tree) walkLeafRanges(ws *walkScratch, li int, kern RangeLeafKernel, rc 
 		t.AX[s:e], t.AY[s:e], t.AZ[s:e])
 	ws.ranges = ranges
 	ws.stack = stack
-	return inter, visited, nbrSum
+	return inter, visited
 }
 
-// ComputeForces walks the tree once per leaf, gathers that leaf's shared
-// interaction list into contiguous per-worker scratch, and invokes the
-// kernel; leaves are processed by `threads` goroutines. Accelerations
-// accumulate into AX/AY/AZ (zeroed first).
-func (t *Tree) ComputeForces(kern LeafKernel, rcut float64, threads int) {
-	t.prepForces()
-	if len(t.nodes) == 0 {
-		return
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	t.ensureWalk(threads)
-	rc := float32(rcut)
-	if threads == 1 {
-		t.leafLoop(0, kern, rc)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t.leafLoop(w, kern, rc)
-		}(w)
-	}
-	wg.Wait()
-}
-
-// ComputeForcesPool is ComputeForces dispatched on a persistent worker
-// pool: no goroutine spawns, no per-call scratch — the zero-allocation
-// sub-cycling configuration.
-func (t *Tree) ComputeForcesPool(kern LeafKernel, rcut float64, pool *par.Pool) {
-	t.prepForces()
-	if len(t.nodes) == 0 {
-		return
-	}
-	t.ensureWalk(pool.Workers())
-	rc := float32(rcut)
-	pool.Run(0, func(w int) { t.leafLoop(w, kern, rc) })
-}
-
-// ComputeForcesRanges is ComputeForces on the copy-free range walk: the
-// kernel receives (start,end) spans over the tree's SoA arrays instead of a
-// gathered neighbor copy. The production force path; ComputeForces with a
-// copy kernel remains as the equivalence oracle.
-func (t *Tree) ComputeForcesRanges(kern RangeLeafKernel, rcut float64, threads int) {
-	t.prepForces()
-	if len(t.nodes) == 0 {
-		return
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	t.ensureWalk(threads)
-	rc := float32(rcut)
-	if threads == 1 {
-		t.leafLoopRanges(0, kern, rc)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t.leafLoopRanges(w, kern, rc)
-		}(w)
-	}
-	wg.Wait()
-}
-
-// ComputeForcesPoolRanges is ComputeForcesRanges dispatched on a persistent
-// worker pool: the zero-allocation sub-cycling configuration.
+// ComputeForcesPoolRanges evaluates the short-range force leaf by leaf on a
+// persistent worker pool, workers pulling leaves from a shared atomic
+// cursor: no goroutine spawns, no per-call scratch — the zero-allocation
+// sub-cycling configuration. Accelerations accumulate into AX/AY/AZ
+// (zeroed first).
 func (t *Tree) ComputeForcesPoolRanges(kern RangeLeafKernel, rcut float64, pool *par.Pool) {
 	t.prepForces()
 	if len(t.nodes) == 0 {
 		return
 	}
-	t.ensureWalk(pool.Workers())
+	t.walk = par.Resize(t.walk, pool.Workers())
 	rc := float32(rcut)
 	pool.Run(0, func(w int) { t.leafLoopRanges(w, kern, rc) })
 }
@@ -476,27 +338,25 @@ func (t *Tree) ComputeForcesPoolRanges(kern RangeLeafKernel, rcut float64, pool 
 // deque-stealing dispatch (par.ForSteal): workers start with contiguous
 // leaf shards and steal trailing leaves from overloaded neighbors, so a
 // clustered region parked on one worker self-balances. Bitwise ≡ the cursor
-// and static dispatches for any worker count (per-leaf accumulation).
-// Returns the number of stolen leaves.
+// dispatch for any worker count (per-leaf accumulation). Returns the number
+// of stolen leaves.
 func (t *Tree) ComputeForcesStealRanges(kern RangeLeafKernel, rcut float64, pool *par.Pool) int64 {
 	t.prepForces()
 	if len(t.nodes) == 0 {
 		return 0
 	}
-	t.ensureWalk(pool.Workers())
+	t.walk = par.Resize(t.walk, pool.Workers())
 	rc := float32(rcut)
 	return pool.ForSteal(len(t.leaves), 1, func(w, lo, hi int) {
 		ws := &t.walk[w]
-		var inter, visited, nbrSum int64
+		var inter, visited int64
 		for li := lo; li < hi; li++ {
-			i, v, s := t.walkLeafRanges(ws, li, kern, rc)
+			i, v := t.walkLeafRanges(ws, li, kern, rc)
 			inter += i
 			visited += v
-			nbrSum += s
 		}
 		t.Interactions.Add(inter)
 		t.NodesVisited.Add(visited)
-		t.NeighborCount.Add(nbrSum)
 	})
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hacc/internal/par"
 )
 
 func randomParticles(n int, box float64, rng *rand.Rand) (x, y, z []float32) {
@@ -76,15 +78,19 @@ func TestBuildDegenerate(t *testing.T) {
 	if tr.Leaves() != 0 {
 		t.Error("empty tree should have no leaves")
 	}
-	tr.ComputeForces(func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 { return 0 }, 1, 2)
+	tr.ComputeForcesPoolRanges(func(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64 {
+		return 0
+	}, 1, par.NewPool(2))
 }
 
 // testKernel is a plain softened inverse-square law with cutoff, evaluated
-// identically by the tree path and the brute-force reference.
-func testKernel(rcut2 float64) LeafKernel {
+// identically by the tree path and the brute-force reference. Sums
+// accumulate in float32, so the bitwise walk oracles see any change in the
+// order neighbors are presented.
+func testKernel(rcut2 float64) leafKernel {
 	return func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
 		for i := range lx {
-			var sx, sy, sz float64
+			var sx, sy, sz float32
 			for j := range nx {
 				dx := float64(nx[j] - lx[i])
 				dy := float64(ny[j] - ly[i])
@@ -94,13 +100,13 @@ func testKernel(rcut2 float64) LeafKernel {
 					continue
 				}
 				f := 1 / ((s + 1e-4) * math.Sqrt(s+1e-4))
-				sx += dx * f
-				sy += dy * f
-				sz += dz * f
+				sx += float32(dx * f)
+				sy += float32(dy * f)
+				sz += float32(dz * f)
 			}
-			ax[i] += float32(sx)
-			ay[i] += float32(sy)
-			az[i] += float32(sz)
+			ax[i] += sx
+			ay[i] += sy
+			az[i] += sz
 		}
 		return int64(len(lx)) * int64(len(nx))
 	}
@@ -139,7 +145,7 @@ func TestForcesMatchBruteForce(t *testing.T) {
 	for _, leafSize := range []int{1, 4, 16, 64, 1000} {
 		x, y, z := randomParticles(300, 12, rng)
 		tr := Build(x, y, z, leafSize)
-		tr.ComputeForces(testKernel(rcut*rcut), rcut, 3)
+		tr.ComputeForcesPoolRanges(copyAdapter(testKernel(rcut*rcut)), rcut, par.NewPool(3))
 		ax := make([]float32, 300)
 		ay := make([]float32, 300)
 		az := make([]float32, 300)
@@ -165,9 +171,9 @@ func TestThreadCountInvariance(t *testing.T) {
 	// result must be bitwise identical for any thread count.
 	rng := rand.New(rand.NewSource(9))
 	x, y, z := randomParticles(400, 10, rng)
-	get := func(threads int) ([]float32, []float32, []float32) {
+	get := func(workers int) ([]float32, []float32, []float32) {
 		tr := Build(x, y, z, 24)
-		tr.ComputeForces(testKernel(9), 3, threads)
+		tr.ComputeForcesPoolRanges(copyAdapter(testKernel(9)), 3, par.NewPool(workers))
 		ax := make([]float32, 400)
 		ay := make([]float32, 400)
 		az := make([]float32, 400)
@@ -183,6 +189,16 @@ func TestThreadCountInvariance(t *testing.T) {
 	}
 }
 
+// countKernel evaluates nothing and reports every (target, span neighbor)
+// pair as one interaction.
+func countKernel(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64 {
+	var n int64
+	for _, r := range ranges {
+		n += int64(r[1] - r[0])
+	}
+	return int64(len(lx)) * n
+}
+
 func TestInteractionCountProperty(t *testing.T) {
 	// The tree must evaluate every (target, neighbor-within-rcut-box) pair:
 	// interactions reported ≥ exact pair count within rcut, and every
@@ -194,10 +210,7 @@ func TestInteractionCountProperty(t *testing.T) {
 		leafSize := 1 + rng.Intn(64)
 		x, y, z := randomParticles(n, 8, rng)
 		tr := Build(x, y, z, leafSize)
-		count := func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
-			return int64(len(lx)) * int64(len(nx))
-		}
-		tr.ComputeForces(count, 2.0, 2)
+		tr.ComputeForcesPoolRanges(countKernel, 2.0, par.NewPool(2))
 		// Exact pair count within rcut (including self-pairs i==i).
 		exact := int64(0)
 		for i := 0; i < n; i++ {
@@ -222,13 +235,11 @@ func TestWalkMinimizationTradeoff(t *testing.T) {
 	// kernel — nodes visited must drop, interactions must rise.
 	rng := rand.New(rand.NewSource(4))
 	x, y, z := randomParticles(2000, 16, rng)
-	kern := func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
-		return int64(len(lx)) * int64(len(nx))
-	}
+	pool := par.NewPool(2)
 	small := Build(x, y, z, 4)
-	small.ComputeForces(kern, 3, 2)
+	small.ComputeForcesPoolRanges(countKernel, 3, pool)
 	big := Build(x, y, z, 128)
-	big.ComputeForces(kern, 3, 2)
+	big.ComputeForcesPoolRanges(countKernel, 3, pool)
 	if big.NodesVisited.Load() >= small.NodesVisited.Load() {
 		t.Errorf("fat leaves should cut walk: %d vs %d visits",
 			big.NodesVisited.Load(), small.NodesVisited.Load())
